@@ -1,11 +1,13 @@
 package repro
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -106,6 +108,43 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 	for dir, pkg := range packages {
 		if !documented[dir] {
 			t.Errorf("package %s (%s) has no package doc comment", pkg, dir)
+		}
+	}
+}
+
+// artifactName matches a committed measurement artifact's file name.
+var artifactName = regexp.MustCompile(`\b(?:BENCH|SERVE|ROBUST)_[A-Za-z0-9_]+\.json\b`)
+
+// TestCitedArtifactsExist checks that every benchmark, serving or
+// robustness artifact README.md and DESIGN.md cite exists at the root
+// of the repository and parses as JSON, so every number the docs quote
+// traces to a committed file. Fenced code blocks are skipped: the names
+// there are files the shown commands write.
+func TestCitedArtifactsExist(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(text), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for _, name := range artifactName.FindAllString(line, -1) {
+				b, err := os.ReadFile(name)
+				if err != nil {
+					t.Errorf("%s:%d cites %s: %v", doc, i+1, name, err)
+					continue
+				}
+				if !json.Valid(b) {
+					t.Errorf("%s:%d cites %s, which is not valid JSON", doc, i+1, name)
+				}
+			}
 		}
 	}
 }

@@ -352,6 +352,15 @@ func (gi *GridIndex) ringLB(r int) float64 {
 	return lb - lb*1e-9
 }
 
+// ringUB returns a safe upper bound on the distance from a member to
+// any member whose cell lies at Chebyshev ring r of its cell: both
+// points sit inside their cells, at most r+1 cells apart on each axis.
+// The bound is padded by a relative 1e-6 — far above any rounding in
+// the cell assignment — so it can never fall below a true distance.
+func (gi *GridIndex) ringUB(r int) float64 {
+	return float64(r+1) * gi.cell * (math.Sqrt2 * (1 + 1e-6))
+}
+
 // maxRing is the largest ring that can still contain cells.
 func (gi *GridIndex) maxRing() int {
 	if gi.nx > gi.ny {
@@ -463,11 +472,15 @@ func (gi *GridIndex) BuildLists(nl *NearestLists, k int) {
 //
 // The bound is a pruning contract, not just a filter: candidates at
 // distance ≥ bound can be skipped entirely, which lets the Borůvka
-// caller pass its component's current best edge weight and stop ring
-// expansion as soon as the geometry proves no strictly better edge
-// exists (ties at the bound lose to the incumbent by the caller's
-// (weight, vertex, neighbor) order, so skipping them is exact).
-func (gi *GridIndex) NearestExcluding(v int, comp []int32, bound float64) (int, float64) {
+// caller pass the weight a candidate must beat and stop ring expansion
+// as soon as the geometry proves no such candidate exists.
+//
+// lb is the caller's lower bound on the answer's distance — pass 0 for
+// none. It promises that every member strictly closer than lb shares
+// v's label, so rings whose farthest point is strictly closer than lb
+// are skipped unscanned; an lb above the true distance breaks
+// exactness.
+func (gi *GridIndex) NearestExcluding(v int, comp []int32, bound, lb float64) (int, float64) {
 	cv := comp[v]
 	x, y := gi.xs[v], gi.ys[v]
 	cx, cy := gi.cellOf(v)
@@ -477,6 +490,9 @@ func (gi *GridIndex) NearestExcluding(v int, comp []int32, bound float64) (int, 
 	for r := 0; r <= maxRing; r++ {
 		if gi.ringLB(r) > bd {
 			break
+		}
+		if gi.ringUB(r) < lb {
+			continue
 		}
 		x0, x1 := cx-r, cx+r
 		y0, y1 := cy-r, cy+r

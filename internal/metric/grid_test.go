@@ -173,10 +173,67 @@ func TestGridNearestExcluding(t *testing.T) {
 			for v := 0; v < m; v++ {
 				for _, bound := range []float64{math.Inf(1), 0, 0.3, pts[v].Dist(pts[(v+1)%m])} {
 					wantU, wantD := bruteNearestExcluding(pts, v, comp, bound)
-					gotU, gotD := gi.NearestExcluding(v, comp, bound)
+					gotU, gotD := gi.NearestExcluding(v, comp, bound, 0)
 					if gotU != wantU || gotD != wantD {
 						t.Fatalf("%s ncomp=%d v=%d bound=%g: got (%d,%g), want (%d,%g)",
 							name, ncomp, v, bound, gotU, gotD, wantU, wantD)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGridNearestExcludingLowerBound checks the lb contract against the
+// brute-force spec: any lb up to the true nearest-outside distance —
+// including exactly that distance, where an equidistant smaller-id
+// member must still win — leaves the answer unchanged, under both
+// unbounded and pruning bounds. Lattices and duplicated points put many
+// candidates at exactly the lb, and coarse labelings push the nearest
+// outside member many rings out, so whole rings are skipped.
+func TestGridNearestExcludingLowerBound(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var lattice, dup []geom.Point
+	for y := 0; y < 20; y++ {
+		for x := 0; x < 20; x++ {
+			lattice = append(lattice, geom.Point{X: float64(x), Y: float64(y)})
+		}
+	}
+	for _, p := range randomPoints(r, 150) {
+		dup = append(dup, p, p)
+	}
+	for name, pts := range map[string][]geom.Point{
+		"random":     randomPoints(r, 400),
+		"lattice":    lattice,
+		"duplicates": dup,
+	} {
+		m := len(pts)
+		gi := NewGrid(pts).Index()
+		maxX := 0.0
+		for _, p := range pts {
+			maxX = math.Max(maxX, p.X)
+		}
+		for _, ncomp := range []int{1, 2, 7, m} {
+			// Half the labelings are spatial stripes, so most members have
+			// their whole neighborhood inside their own component.
+			comp := make([]int32, m)
+			for v := range comp {
+				if ncomp%2 == 0 {
+					comp[v] = int32(float64(ncomp) * pts[v].X / (maxX + 1))
+				} else {
+					comp[v] = int32(r.Intn(ncomp))
+				}
+			}
+			for v := 0; v < m; v++ {
+				_, dStar := bruteNearestExcluding(pts, v, comp, math.Inf(1))
+				for _, lb := range []float64{0, dStar / 2, math.Nextafter(dStar, 0), dStar} {
+					for _, bound := range []float64{math.Inf(1), dStar, math.Nextafter(dStar, math.Inf(1)), 2*dStar + 1} {
+						wantU, wantD := bruteNearestExcluding(pts, v, comp, bound)
+						gotU, gotD := gi.NearestExcluding(v, comp, bound, lb)
+						if gotU != wantU || gotD != wantD {
+							t.Fatalf("%s ncomp=%d v=%d lb=%g bound=%g: got (%d,%g), want (%d,%g)",
+								name, ncomp, v, lb, bound, gotU, gotD, wantU, wantD)
+						}
 					}
 				}
 			}
@@ -287,7 +344,7 @@ func TestGridIndexConcurrent(t *testing.T) {
 	done := make(chan bool)
 	for w := 0; w < 8; w++ {
 		go func() {
-			u, d := g.Index().NearestExcluding(17, comp, math.Inf(1))
+			u, d := g.Index().NearestExcluding(17, comp, math.Inf(1), 0)
 			done <- u == wantU && d == wantD
 		}()
 	}

@@ -9,10 +9,46 @@ import (
 	"repro/internal/metric"
 )
 
-// boruvkaParallelGate is the sensor count below which msfBoruvka stays
-// serial even when Workers > 1: the per-round bound pre-pass and
-// goroutine handoff cost more than the queries they would shard.
+// boruvkaParallelGate is the sensor count below which msfBoruvka runs
+// each round as one shard on the calling goroutine even when
+// Workers > 1: the goroutine handoff costs more than the queries it
+// would shard.
 const boruvkaParallelGate = 2048
+
+// incumbents is one shard's running minimum offer weight per
+// component, held in a direct-mapped table: a component whose slot a
+// later component took reads +Inf, which only loosens its bound. The
+// rounds where the bound matters most have few components and rarely
+// collide, and the table's size grows with neither m nor the worker
+// count.
+type incumbents struct {
+	comp [incSlots]int32
+	w    [incSlots]float64
+}
+
+// incSlots is the table size of incumbents, a power of two.
+const incSlots = 1 << 12
+
+func (t *incumbents) reset() {
+	for i := range t.comp {
+		t.comp[i] = -1
+	}
+}
+
+// get returns component c's incumbent weight, or +Inf if none is held.
+func (t *incumbents) get(c int32) float64 {
+	if i := c & (incSlots - 1); t.comp[i] == c {
+		return t.w[i]
+	}
+	return math.Inf(1)
+}
+
+// offer records an offer of weight w by component c.
+func (t *incumbents) offer(c int32, w float64) {
+	if i := c & (incSlots - 1); t.comp[i] != c || w < t.w[i] {
+		t.comp[i], t.w[i] = c, w
+	}
+}
 
 // msfArena pools every O(m) buffer of one Borůvka MSF computation —
 // including the contracted-space inputs its caller (msf) fills and the
@@ -33,11 +69,11 @@ type msfArena struct {
 	// selected MST edges, as parallel endpoint arrays (8 bytes/edge;
 	// orientation never needs the weights, which sum into Tree.Weight)
 	eu, ev []int32
-	// parallel-phase buffers (nil on the serial path)
-	bound []float64
-	cMin  []float64
-	nnU   []int32
-	nnD   []float64
+	// per-sensor nearest-outside answers carried across rounds, and one
+	// incumbents table per shard
+	nnU []int32
+	nnD []float64
+	inc []incumbents
 	// tree-orientation buffers; the BFS cursor and queue are not here —
 	// they overlay bestV/bestU, which are dead once the rounds finish
 	off    []int32
@@ -67,32 +103,44 @@ func grow[T any](s []T, n int) []T {
 // the returned Tree's Parent aliases the arena, so the caller must be
 // done with it before releasing ar.
 //
-// Each round finds, for every component, its minimum-weight outgoing
-// edge: sensor–sensor candidates come from GridIndex.NearestExcluding
-// (exact nearest member outside the sensor's component, pruned by a
-// bound no better candidate can beat, see below), and super-root
-// candidates from the precomputed toRoot array, credited to both
-// endpoint components. The chosen edges are merged through a
-// union-find, skipping edges whose endpoints an earlier merge of the
-// round already connected (equal-weight edge cycles — the only cycles
-// Borůvka can produce — are weight-neutral to skip, so total weight
-// stays exactly the MST weight). Components halve every round, so
-// there are O(log m) rounds.
+// Each round finds, for every component, its (weight, v, u)-
+// lexicographically minimum outgoing edge, merges the chosen edges
+// through a union-find and skips edges an earlier merge of the round
+// already connected (equal-weight cycles, weight-neutral to skip).
+// Components at least halve every round, so there are O(log m) rounds.
+// Sensor–sensor candidates come from GridIndex.NearestExcluding, super-
+// root candidates from toRoot, credited to both endpoint components.
 //
-// Determinism and the Workers contract: the round's result is the
-// (weight, sensor, neighbor)-lexicographic minimum offer per component,
-// taken by a serial merge scanning sensors in ascending index. A
-// sensor's query bound may therefore prune exactly the candidates that
-// cannot win that merge — any candidate at distance ≥ the weight of an
-// offer the merge sees from a smaller sensor index loses (on weight, or
-// on sensor index at equal weight). The serial path uses the running
-// best (tightest such bound); the parallel path precomputes a per-
-// sensor bound from root offers alone, which is a pure function of the
-// round's components — independent of worker count and of other
-// queries — so every query returns the same neighbor no matter how the
-// sensors are sharded, and the merge is byte-equal to serial. Extra
-// survivors admitted by the looser parallel bound are exactly ties the
-// merge discards. workers ≤ 1 (or small m) runs fully serial.
+// The result is the lexicographic minimum over all offers, so a
+// sensor's query may prune any candidate that provably loses to an
+// offer already known — and the rules below prune as tightly as that
+// order allows while every sensor's answer stays exact or provably
+// losing:
+//
+//   - Root offers first. Every super-root edge is offered before any
+//     sensor query, so bestW[c] holds component c's best root edge. A
+//     candidate of sensor v at distance d beats it iff d < bestW[c], or
+//     d == bestW[c] and v ≤ bestV[c] (u < m breaks v's own tie). So v
+//     queries under bestW[c] when the incumbent's sensor is smaller,
+//     and one ulp above it otherwise.
+//   - One incumbent per shard. Sensors are sharded into ascending index
+//     ranges; each shard keeps its own running minimum of the offers it
+//     made, per component (an incumbents table). Those offers all come
+//     from smaller indices, so v may also prune at d ≥ that minimum. One shard is the serial
+//     case; more shards prune less but never change an answer that can
+//     win. Shard s > 0 runs on its own goroutine; below
+//     boruvkaParallelGate sensors there is only shard 0.
+//   - Answers carried across rounds. Components only grow, so a
+//     sensor's nearest-outside distance never decreases. nnU/nnD keep
+//     each sensor's last answer: while that neighbor is still outside,
+//     it is still the exact (distance, id)-minimum and needs no query.
+//     Otherwise nnD is a lower bound lb (the old distance, or the bound
+//     a query came back empty under): the sensor is skipped when
+//     lb ≥ its bound, and its query skips rings closer than lb.
+//
+// The merge then offers every exact answer in a serial pass, so the
+// round's edges are the same whatever was pruned, and the forest is
+// byte-identical for every worker count.
 func msfBoruvka(g *metric.Grid, sensors []int, ar *msfArena, workers int) graph.Tree {
 	m := len(sensors)
 	g.SubIndexInto(&ar.gi, sensors)
@@ -108,14 +156,59 @@ func msfBoruvka(g *metric.Grid, sensors []int, ar *msfArena, workers int) graph.
 	eu, ev := ar.eu[:0], ar.ev[:0]
 	var weight float64
 
-	parallel := workers > 1 && m >= boruvkaParallelGate
-	var bound, cMin, nnD []float64
-	var nnU []int32
-	if parallel {
-		bound = grow(ar.bound, m)
-		cMin = grow(ar.cMin, m+1)
-		nnU = grow(ar.nnU, m)
-		nnD = grow(ar.nnD, m)
+	shards := 1
+	if workers > 1 && m >= boruvkaParallelGate {
+		shards = workers
+	}
+	chunk := (m + shards - 1) / shards
+	nnU := grow(ar.nnU, m)
+	nnD := grow(ar.nnD, m)
+	for v := range nnU {
+		nnU[v], nnD[v] = -1, 0
+	}
+	inc := grow(ar.inc, shards)
+
+	// offer proposes edge (v, u) of weight w as component c's outgoing
+	// edge, keeping the (weight, v, u)-lexicographic minimum.
+	offer := func(c int32, w float64, v, u int32) {
+		i := int(c)
+		if w < bestW[i] ||
+			(w == bestW[i] && (v < bestV[i] || (v == bestV[i] && u < bestU[i]))) { //lint:allow floateq lexicographic (weight, v, u) edge tie-break, deterministic by design
+			bestW[i], bestV[i], bestU[i] = w, v, u
+		}
+	}
+	// query refreshes the answers of sensors lo..hi-1 under shard
+	// incumbents inc. It reads only round-fixed state (comp, bestW,
+	// bestV) besides its own sensors' slots, so shards run concurrently.
+	query := func(lo, hi int, inc *incumbents) {
+		inc.reset()
+		for v := lo; v < hi; v++ {
+			c := comp[v]
+			if u := nnU[v]; u >= 0 {
+				if comp[u] != c {
+					inc.offer(c, nnD[v])
+					continue
+				}
+				nnU[v] = -1 // merged away: nnD[v] is now a lower bound
+			}
+			b := bestW[c]
+			if int(bestV[c]) >= v {
+				b = math.Nextafter(b, math.Inf(1))
+			}
+			if w := inc.get(c); w < b {
+				b = w
+			}
+			if nnD[v] >= b {
+				continue
+			}
+			u, d := gi.NearestExcluding(v, comp, b, nnD[v])
+			if u < 0 {
+				nnD[v] = b // nothing strictly closer than b lies outside
+				continue
+			}
+			nnU[v], nnD[v] = int32(u), d
+			inc.offer(c, d)
+		}
 	}
 
 	for uf.Sets() > 1 {
@@ -126,92 +219,29 @@ func msfBoruvka(g *metric.Grid, sensors []int, ar *msfArena, workers int) graph.
 		for c := 0; c <= m; c++ {
 			bestW[c] = math.Inf(1)
 		}
-		// offer proposes edge (v, u) of weight w as component c's
-		// outgoing edge, keeping the (weight, v, u)-lexicographic
-		// minimum.
-		offer := func(c int32, w float64, v, u int32) {
-			i := int(c)
-			if w < bestW[i] ||
-				(w == bestW[i] && (v < bestV[i] || (v == bestV[i] && u < bestU[i]))) { //lint:allow floateq lexicographic (weight, v, u) edge tie-break, deterministic by design
-				bestW[i], bestV[i], bestU[i] = w, v, u
-			}
-		}
-		if parallel {
-			// Bound pre-pass, serial O(m): for each sensor the tightest
-			// prune derivable from root offers the merge will see before
-			// (or, own root offer, immediately after) its own candidate.
-			// cMin[c] is the running minimum root-offer weight credited
-			// to component c by sensors with smaller index; a candidate
-			// at distance ≥ that weight loses the merge to the earlier
-			// sensor's offer (smaller index wins equal weight). A
-			// sensor's own root offer has the same index, so candidates
-			// that TIE it still win (neighbor u < super-root m breaks
-			// the tie) — hence the one-ulp bump keeping d == toRoot[v]
-			// alive. Sensors in the super-root's component make no root
-			// offer (that edge is internal there), so only the cMin term
-			// applies to them.
-			for c := 0; c <= m; c++ {
-				cMin[c] = math.Inf(1)
-			}
-			for v := 0; v < m; v++ {
-				c := comp[v]
-				b := cMin[c]
-				if c != rootComp {
-					if up := math.Nextafter(toRoot[v], math.Inf(1)); up < b {
-						b = up
-					}
-					if toRoot[v] < cMin[c] {
-						cMin[c] = toRoot[v]
-					}
-					if toRoot[v] < cMin[rootComp] {
-						cMin[rootComp] = toRoot[v]
-					}
-				}
-				bound[v] = b
-			}
-			// Query phase: every input is fixed before the fan-out, so
-			// each sensor's answer is independent of sharding; workers
-			// write disjoint fixed slots.
-			var wg sync.WaitGroup
-			chunk := (m + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := lo + chunk
-				if hi > m {
-					hi = m
-				}
-				if lo >= hi {
-					break
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for v := lo; v < hi; v++ {
-						u, d := gi.NearestExcluding(v, comp, bound[v])
-						nnU[v], nnD[v] = int32(u), d
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
+		// Sensors in the super-root's component make no root offer: that
+		// edge is internal there.
 		for v := 0; v < m; v++ {
-			c := comp[v]
-			if parallel {
-				if u := nnU[v]; u >= 0 {
-					offer(c, nnD[v], int32(v), u)
-				}
-			} else {
-				// Query under the running best: an equal-weight candidate
-				// pruned by it is one that would have lost the
-				// (weight, v, u) tie-break anyway.
-				if u, d := gi.NearestExcluding(v, comp, bestW[c]); u >= 0 {
-					offer(c, d, int32(v), int32(u))
-				}
-			}
-			if c != rootComp {
+			if c := comp[v]; c != rootComp {
 				w := toRoot[v]
 				offer(c, w, int32(v), int32(m))
 				offer(rootComp, w, int32(v), int32(m))
+			}
+		}
+		var wg sync.WaitGroup
+		for s := 1; s < shards && s*chunk < m; s++ {
+			lo, hi := s*chunk, min((s+1)*chunk, m)
+			wg.Add(1)
+			go func(lo, hi int, inc *incumbents) {
+				defer wg.Done()
+				query(lo, hi, inc)
+			}(lo, hi, &inc[s])
+		}
+		query(0, min(chunk, m), &inc[0])
+		wg.Wait()
+		for v := 0; v < m; v++ {
+			if u := nnU[v]; u >= 0 {
+				offer(comp[v], nnD[v], int32(v), u)
 			}
 		}
 		progress := false
@@ -288,7 +318,7 @@ func msfBoruvka(g *metric.Grid, sensors []int, ar *msfArena, workers int) graph.
 		}
 	}
 	ar.comp, ar.bestW, ar.bestV, ar.bestU = comp, bestW, bestV, bestU
-	ar.bound, ar.cMin, ar.nnU, ar.nnD = bound, cMin, nnU, nnD
+	ar.nnU, ar.nnD, ar.inc = nnU, nnD, inc
 	ar.off, ar.adj, ar.parent, ar.seen = off, adj, parent, seen
 	return graph.Tree{Parent: parent, Weight: weight}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/metric"
 )
 
@@ -154,4 +155,174 @@ func TestParallelToursMatchSerial(t *testing.T) {
 			t.Fatalf("%s: parallel solution differs from serial", name)
 		}
 	}
+}
+
+// tieHeavyInstance is a point set above boruvkaParallelGate built to
+// maximize exact ties in the Borůvka merge: a 48×48 unit lattice (every
+// sensor has four equidistant neighbors), a duplicate of each of its
+// first 300 points (zero-distance edges), and depots at lattice-square
+// centers plus one on a lattice point, so whole diagonals of sensors
+// are equidistant from two depots and each depot from four sensors.
+func tieHeavyInstance() (pts []geom.Point, depots, sensors []int) {
+	for y := 0; y < 48; y++ {
+		for x := 0; x < 48; x++ {
+			pts = append(pts, geom.Pt(float64(x), float64(y)))
+		}
+	}
+	pts = append(pts, pts[:300]...)
+	for i := range pts {
+		sensors = append(sensors, i)
+	}
+	for _, d := range []geom.Point{geom.Pt(11.5, 11.5), geom.Pt(35.5, 35.5), geom.Pt(23.5, 23.5), geom.Pt(24, 0)} {
+		depots = append(depots, len(pts))
+		pts = append(pts, d)
+	}
+	return pts, depots, sensors
+}
+
+// bruteBoruvka is the reference for msfBoruvka's tie-breaking: the
+// same rounds over the same union-find — each component's
+// (weight, v, u)-lexicographic minimum edge, merged in component order —
+// but every minimum found by scanning all sensor pairs, with no index
+// and no pruning. It returns the un-contracted parent array.
+func bruteBoruvka(pts []geom.Point, depots, sensors []int) []int {
+	m := len(sensors)
+	toRoot := make([]float64, m)
+	nearest := make([]int, m)
+	for i, s := range sensors {
+		toRoot[i] = math.Inf(1)
+		for _, d := range depots {
+			if w := pts[s].Dist(pts[d]); w < toRoot[i] {
+				toRoot[i], nearest[i] = w, d
+			}
+		}
+	}
+	uf := graph.NewUnionFind(m + 1)
+	adj := make([][]int, m+1)
+	comp := make([]int, m+1)
+	bestW := make([]float64, m+1)
+	bestV := make([]int, m+1)
+	bestU := make([]int, m+1)
+	for uf.Sets() > 1 {
+		for v := range comp {
+			comp[v] = uf.Find(v)
+			bestW[v] = math.Inf(1)
+		}
+		offer := func(c int, w float64, v, u int) {
+			if w < bestW[c] || (w == bestW[c] && (v < bestV[c] || (v == bestV[c] && u < bestU[c]))) { //lint:allow floateq lexicographic (weight, v, u) tie-break, the order under test
+				bestW[c], bestV[c], bestU[c] = w, v, u
+			}
+		}
+		for v := 0; v < m; v++ {
+			for u := 0; u < m; u++ {
+				if comp[u] != comp[v] {
+					offer(comp[v], pts[sensors[v]].Dist(pts[sensors[u]]), v, u)
+				}
+			}
+			if comp[v] != comp[m] {
+				offer(comp[v], toRoot[v], v, m)
+				offer(comp[m], toRoot[v], v, m)
+			}
+		}
+		for c := 0; c <= m; c++ {
+			if !math.IsInf(bestW[c], 1) && uf.Union(bestV[c], bestU[c]) {
+				adj[bestV[c]] = append(adj[bestV[c]], bestU[c])
+				adj[bestU[c]] = append(adj[bestU[c]], bestV[c])
+			}
+		}
+	}
+	parent := make([]int, len(pts))
+	for i := range parent {
+		parent[i] = NotInForest
+	}
+	for _, d := range depots {
+		parent[d] = -1
+	}
+	seen := make([]bool, m+1)
+	seen[m] = true
+	for queue := []int{m}; len(queue) > 0; queue = queue[1:] {
+		v := queue[0]
+		for _, u := range adj[v] {
+			if !seen[u] {
+				seen[u] = true
+				if v == m {
+					parent[sensors[u]] = nearest[u]
+				} else {
+					parent[sensors[u]] = sensors[v]
+				}
+				queue = append(queue, u)
+			}
+		}
+	}
+	return parent
+}
+
+// TestBoruvkaWorkersTieParity pins the pruning rules on tie-heavy
+// inputs large enough for the sharded query phase: for every worker
+// count the forest is exactly the brute-force lexicographic reference's
+// — so no tie was decided by a pruned query — and its weight equals the
+// dense Prim forest's.
+func TestBoruvkaWorkersTieParity(t *testing.T) {
+	pts, depots, sensors := tieHeavyInstance()
+	if len(sensors) < boruvkaParallelGate {
+		t.Fatalf("instance has %d sensors, below the parallel gate %d", len(sensors), boruvkaParallelGate)
+	}
+	g := metric.NewGrid(pts)
+	want := bruteBoruvka(pts, depots, sensors)
+	prim := MSF(metric.Materialize(metric.NewEuclidean(pts)), depots, sensors)
+	for _, workers := range []int{1, 2, 3, 8} {
+		f := msf(g, depots, sensors, workers)
+		if err := f.Validate(g, depots, sensors); err != nil {
+			t.Fatalf("workers=%d: forest invalid: %v", workers, err)
+		}
+		if math.Abs(f.Weight-prim.Weight) > 1e-9*(1+prim.Weight) {
+			t.Fatalf("workers=%d: weight %.12g, dense Prim %.12g", workers, f.Weight, prim.Weight)
+		}
+		for v := range want {
+			if f.Parent[v] != want[v] {
+				t.Fatalf("workers=%d: parent[%d] = %d, brute-force reference %d", workers, v, f.Parent[v], want[v])
+			}
+		}
+	}
+}
+
+// FuzzBoruvkaWorkers lets the fuzzer pick clustered inputs — cluster
+// count and spread down to fully coincident points, a duplicated share,
+// depot count — at sizes above boruvkaParallelGate, and requires the
+// sharded forest (Workers 3) to be byte-identical to the serial one.
+func FuzzBoruvkaWorkers(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint16(5000), uint8(0), uint8(3))
+	f.Add(int64(2), uint8(1), uint16(0), uint8(50), uint8(1))    // one coincident blob
+	f.Add(int64(3), uint8(12), uint16(200), uint8(90), uint8(8)) // mostly duplicates
+	f.Fuzz(func(t *testing.T, seed int64, ncRaw uint8, spreadMilli uint16, dupRaw, qRaw uint8) {
+		r := rand.New(rand.NewSource(seed))
+		nc := int(ncRaw)%16 + 1
+		spread := float64(spreadMilli) / 1000
+		dupFrac := float64(dupRaw%101) / 100
+		q := int(qRaw)%8 + 1
+		n := boruvkaParallelGate + 64
+		centers := make([]geom.Point, nc)
+		for i := range centers {
+			centers[i] = geom.Pt(r.Float64()*1000, r.Float64()*1000)
+		}
+		pts := make([]geom.Point, 0, n+q)
+		for len(pts) < n {
+			if len(pts) > 0 && r.Float64() < dupFrac {
+				pts = append(pts, pts[r.Intn(len(pts))])
+				continue
+			}
+			c := centers[r.Intn(nc)]
+			pts = append(pts, geom.Pt(c.X+r.NormFloat64()*spread, c.Y+r.NormFloat64()*spread))
+		}
+		for len(pts) < n+q {
+			pts = append(pts, geom.Pt(r.Float64()*1000, r.Float64()*1000))
+		}
+		depots, sensors := splitIndices(r, len(pts), q)
+		g := metric.NewGrid(pts)
+		a, _ := json.Marshal(msf(g, depots, sensors, 1))
+		b, _ := json.Marshal(msf(g, depots, sensors, 3))
+		if string(a) != string(b) {
+			t.Fatal("Workers 3 forest differs from Workers 1")
+		}
+	})
 }

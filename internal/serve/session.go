@@ -382,55 +382,69 @@ func (ss *Sessions) Delta(id string, ops []delta.Op) (*DeltaResult, error) {
 	}
 	var out *DeltaResult
 	var gerr error
-	if derr := sh.do(func() {
-		sess, err := sh.lookup(id)
-		if err != nil {
-			gerr = err
-			return
-		}
-		res, err := sess.st.Apply(ops)
-		if err != nil {
-			var be *delta.BatchError
-			if errors.As(err, &be) {
-				// Rejected before any mutation; session stays usable.
-				gerr = badRequest("%v", err)
-				return
-			}
-			// The state may be inconsistent: kill the session.
-			sh.evict(sess)
-			ss.met.SessionReplans.With(ReplanError).Inc()
-			gerr = fmt.Errorf("serve: session %s failed and was discarded: %w", id, err)
-			return
-		}
-		ss.met.DeltaOps.Add(int64(len(ops)))
-		if sess.replanning {
-			sess.ring.Append(ops)
-		}
-		if res.Replanned {
-			ss.met.SessionReplans.With(ReplanStructural).Inc()
-		}
-		if res.NeedReplan && !sess.replanning {
-			sh.startReconcile(sess)
-		}
-		out = &DeltaResult{
-			Version:    sess.st.Version(),
-			Cost:       res.Cost,
-			Drift:      res.Drift,
-			Joined:     res.Joined,
-			Replanned:  res.Replanned,
-			NeedReplan: res.NeedReplan,
-		}
-	}); derr != nil {
+	if derr := sh.do(func() { out, gerr = sh.applyDelta(id, ops) }); derr != nil {
 		return nil, derr
 	}
 	return out, gerr
 }
 
+// applyDelta is Delta's body. Runs on the shard goroutine.
+func (sh *sessionShard) applyDelta(id string, ops []delta.Op) (*DeltaResult, error) {
+	sess, err := sh.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sess.st.Apply(ops)
+	if err != nil {
+		var be *delta.BatchError
+		if errors.As(err, &be) {
+			// Rejected before any mutation; session stays usable.
+			return nil, badRequest("%v", err)
+		}
+		// The state may be inconsistent: kill the session.
+		sh.evict(sess)
+		sh.ss.met.SessionReplans.With(ReplanError).Inc()
+		return nil, fmt.Errorf("serve: session %s failed and was discarded: %w", id, err)
+	}
+	sh.ss.met.DeltaOps.Add(int64(len(ops)))
+	if sess.replanning {
+		sess.ring.Append(ops)
+	}
+	if res.Replanned {
+		sh.ss.met.SessionReplans.With(ReplanStructural).Inc()
+	}
+	if res.NeedReplan && !sess.replanning {
+		sh.startReconcile(sess)
+	}
+	return &DeltaResult{
+		Version:    sess.st.Version(),
+		Cost:       res.Cost,
+		Drift:      res.Drift,
+		Joined:     res.Joined,
+		Replanned:  res.Replanned,
+		NeedReplan: res.NeedReplan,
+	}, nil
+}
+
+// catchUpPasses bounds how often a background reconcile drains the
+// session's ring and replays it off the shard before installing, and
+// catchUpTail is the drained length at which it stops early: the
+// install job on the shard then replays only the batches that landed
+// during the last pass.
+const (
+	catchUpPasses = 4
+	catchUpTail   = 2
+)
+
 // startReconcile launches the cost-drift reconciliation for sess: a
 // full replan of a deep snapshot off the shard, with the batches that
-// land meanwhile logged in the session's ring for replay. Runs on the
-// shard goroutine. Under SyncReplan the replan happens inline instead —
-// same end state, deterministic timing.
+// land meanwhile logged in the session's ring for replay. The replan's
+// goroutine also does the replay: it drains the ring through a shard
+// job and applies the drained batches to the fresh state, pass after
+// pass while the tail stays long, so the install job (finishReconcile)
+// replays only a short tail on the shard. Runs on the shard goroutine.
+// Under SyncReplan the replan happens inline instead — same end state,
+// deterministic timing.
 func (sh *sessionShard) startReconcile(sess *session) {
 	if sh.ss.cfg.SyncReplan {
 		if err := sess.st.Replan(); err != nil {
@@ -451,6 +465,16 @@ func (sh *sessionShard) startReconcile(sess *session) {
 	go func() {
 		defer sh.ss.wg.Done()
 		st, err := delta.PlanSnapshot(snap, nil)
+		for pass := 0; err == nil && pass < catchUpPasses; pass++ {
+			batches, ok := sh.drainLog(id)
+			if !ok {
+				break
+			}
+			err = replay(st, batches)
+			if len(batches) <= catchUpTail {
+				break
+			}
+		}
 		job := func() { sh.finishReconcile(id, st, err) }
 		select {
 		case sh.jobs <- job:
@@ -459,10 +483,41 @@ func (sh *sessionShard) startReconcile(sess *session) {
 	}()
 }
 
+// drainLog takes the batches logged so far for a replanning session,
+// through a shard job. It reports false, leaving the log to
+// finishReconcile, when the session is gone, its log overflowed, or the
+// shard is closing or full.
+func (sh *sessionShard) drainLog(id string) ([][]delta.Op, bool) {
+	var batches [][]delta.Op
+	ok := false
+	if err := sh.do(func() {
+		if sess, found := sh.sessions[id]; found && !sess.ring.Overflowed() {
+			batches, ok = sess.ring.Drain(), true
+		}
+	}); err != nil {
+		// The job may still be running if the shard is closing: leave
+		// what it writes unread.
+		return nil, false
+	}
+	return batches, ok
+}
+
+// replay applies logged batches to a reconciled state in order. The
+// batches applied to the live state, so they must replay cleanly; a
+// failure means the snapshot diverged.
+func replay(st *delta.State, batches [][]delta.Op) error {
+	for _, batch := range batches {
+		if _, err := st.Apply(batch); err != nil {
+			return fmt.Errorf("serve: replaying a logged batch: %w", err)
+		}
+	}
+	return nil
+}
+
 // finishReconcile installs a background replan's result: replay the
-// batches logged since the snapshot, then swap the fresh state in
-// atomically (between two deltas, since the shard is serial). Runs on
-// the shard goroutine.
+// batches logged since the last catch-up pass, then swap the fresh
+// state in atomically (between two deltas, since the shard is serial).
+// Runs on the shard goroutine.
 func (sh *sessionShard) finishReconcile(id string, st *delta.State, err error) {
 	sess, ok := sh.sessions[id]
 	if !ok {
@@ -470,8 +525,9 @@ func (sh *sessionShard) finishReconcile(id string, st *delta.State, err error) {
 	}
 	sess.replanning = false
 	if err != nil {
-		// Keep serving the patched plan; the drift signal stays high, so
-		// the next delta retriggers reconciliation.
+		// Keep serving the patched plan (a failed replay leaves the live
+		// state consistent too); the drift signal stays high, so the
+		// next delta retriggers reconciliation.
 		sess.ring.Drain()
 		sh.ss.met.SessionReplans.With(ReplanError).Inc()
 		return
@@ -484,14 +540,9 @@ func (sh *sessionShard) finishReconcile(id string, st *delta.State, err error) {
 		sh.startReconcile(sess)
 		return
 	}
-	for _, batch := range sess.ring.Drain() {
-		if _, err := st.Apply(batch); err != nil {
-			// Batches that applied to the live state must replay cleanly;
-			// a failure here means the snapshot diverged — keep the
-			// (consistent) live patched state and retry later.
-			sh.ss.met.SessionReplans.With(ReplanError).Inc()
-			return
-		}
+	if err := replay(st, sess.ring.Drain()); err != nil {
+		sh.ss.met.SessionReplans.With(ReplanError).Inc()
+		return
 	}
 	sess.st = st
 	sh.ss.met.SessionReplans.With(ReplanDrift).Inc()

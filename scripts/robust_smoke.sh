@@ -14,9 +14,8 @@
 # race detector under GOMEMLIMIT=512MiB, gated on wall-clock and heap
 # footprint via the harness's own -maxwallms/-maxheapbytes flags —
 # a committed-artifact-sized sweep must stay inside CI's time and
-# memory budgets, and still lose zero sensors. The committed
-# ROBUST_pr10.json baseline records the full-size numbers. Tunables
-# via environment:
+# memory budgets, and still lose zero sensors. No full-size (n=50,000)
+# artifact is committed yet. Tunables via environment:
 #
 #   ROBUST_N, ROBUST_Q     phase-1 topology       (default 25 sensors, 3 depots)
 #   ROBUST_T               phase-1 period         (default 60)
