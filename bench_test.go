@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/graph"
 	"repro/internal/metric"
 	"repro/internal/rooted"
 	"repro/internal/tsp"
@@ -169,7 +170,7 @@ func BenchmarkDoubleTreeTour(b *testing.B) {
 	_, sp := benchNetwork(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tsp.MSTTour(sp, 0)
+		tsp.DoubleTree(sp, graph.PrimMST(sp, 0), 0)
 	}
 }
 
@@ -195,25 +196,6 @@ func BenchmarkScheduleVerify(b *testing.B) {
 		if err := plan.Schedule.Verify(cycles, 1e-6); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkGreedyEdgeTour(b *testing.B) {
-	_, sp := benchNetwork(b, 300)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tsp.GreedyEdge(sp, 0)
-	}
-}
-
-func BenchmarkSegmentExchange(b *testing.B) {
-	_, sp := benchNetwork(b, 120)
-	base := tsp.NearestNeighbor(sp, 0)
-	base, _ = tsp.TwoOpt(sp, base, -1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tour := append([]int(nil), base...)
-		tsp.SegmentExchange(sp, tour, 1)
 	}
 }
 

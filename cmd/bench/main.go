@@ -146,9 +146,13 @@ func runCompare(basePath, curPath string, threshold, heapThreshold float64) (boo
 	}
 	deltas := benchfmt.Compare(base, cur, threshold, heapThreshold)
 	if len(deltas) == 0 {
-		return false, fmt.Errorf("baselines %s and %s share no benchmarks", basePath, curPath)
+		return false, fmt.Errorf("baseline %s has no benchmarks", basePath)
 	}
 	for _, d := range deltas {
+		if d.Missing {
+			fmt.Printf("%-40s %12.0f ns/op, absent from %s  MISSING\n", d.Name, d.BaseNs, curPath)
+			continue
+		}
 		status := "ok"
 		switch {
 		case d.NsRegr && d.HeapRegr:

@@ -115,36 +115,143 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 // artifactName matches a committed measurement artifact's file name.
 var artifactName = regexp.MustCompile(`\b(?:BENCH|SERVE|ROBUST)_[A-Za-z0-9_]+\.json\b`)
 
-// TestCitedArtifactsExist checks that every benchmark, serving or
-// robustness artifact README.md and DESIGN.md cite exists at the root
-// of the repository and parses as JSON, so every number the docs quote
-// traces to a committed file. Fenced code blocks are skipped: the names
-// there are files the shown commands write.
-func TestCitedArtifactsExist(t *testing.T) {
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
+// proseLines calls fn with every line of doc outside fenced code
+// blocks, numbered from 1.
+func proseLines(t *testing.T, doc string, fn func(line int, text string)) {
+	t.Helper()
+	text, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fenced := false
+	for i, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
 		}
-		fenced := false
-		for i, line := range strings.Split(string(text), "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				fenced = !fenced
-				continue
-			}
-			if fenced {
-				continue
-			}
-			for _, name := range artifactName.FindAllString(line, -1) {
+		if !fenced {
+			fn(i+1, line)
+		}
+	}
+}
+
+// TestCitedArtifactsExist checks that every benchmark, serving or
+// robustness artifact README.md, DESIGN.md, the scripts and the
+// Makefile cite exists at the root of the repository and parses as
+// JSON, so every number the docs quote and every baseline a script
+// defaults to traces to a committed file. Fenced code blocks in the
+// Markdown files are skipped: the names there are files the shown
+// commands write.
+func TestCitedArtifactsExist(t *testing.T) {
+	scripts, err := filepath.Glob("scripts/*.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scripts) == 0 {
+		t.Fatal("no scripts/*.sh found")
+	}
+	for _, doc := range append([]string{"README.md", "DESIGN.md", "Makefile"}, scripts...) {
+		proseLines(t, doc, func(line int, text string) {
+			for _, name := range artifactName.FindAllString(text, -1) {
 				b, err := os.ReadFile(name)
 				if err != nil {
-					t.Errorf("%s:%d cites %s: %v", doc, i+1, name, err)
+					t.Errorf("%s:%d cites %s: %v", doc, line, name, err)
 					continue
 				}
 				if !json.Valid(b) {
-					t.Errorf("%s:%d cites %s, which is not valid JSON", doc, i+1, name)
+					t.Errorf("%s:%d cites %s, which is not valid JSON", doc, line, name)
+				}
+			}
+		})
+	}
+}
+
+var (
+	// codeSpan matches one inline code span of a Markdown line.
+	codeSpan = regexp.MustCompile("`([^`]+)`")
+	// pkgIdent matches pkg.Ident inside a code span, where pkg starts
+	// the span, follows a non-identifier character, or follows
+	// "internal/"; path components such as "delta/patch.go" do not match.
+	pkgIdent = regexp.MustCompile(`(?:^|[^\w/.]|internal/)([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
+)
+
+// topLevelNames returns the names of the top-level functions, types,
+// variables and constants declared in dir's non-test Go files. Methods
+// are not top-level and are left out.
+func topLevelNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						names[sp.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							names[n.Name] = true
+						}
+					}
 				}
 			}
 		}
+	}
+	return names
+}
+
+// TestDocIdentifiersResolve checks that every backticked pkg.Ident in
+// README.md and DESIGN.md, where pkg is a package under internal/,
+// names a top-level declaration of that package, so deleting or
+// renaming an identifier cannot leave the docs pointing at nothing.
+// Only the first identifier after the package is checked: in
+// `metric.Dense.NearestLists` that is Dense.
+func TestDocIdentifiersResolve(t *testing.T) {
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() {
+			decls[e.Name()] = topLevelNames(t, filepath.Join("internal", e.Name()))
+		}
+	}
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		proseLines(t, doc, func(line int, text string) {
+			for _, span := range codeSpan.FindAllStringSubmatch(text, -1) {
+				for _, m := range pkgIdent.FindAllStringSubmatch(span[1], -1) {
+					names, ok := decls[m[1]]
+					if !ok {
+						continue
+					}
+					checked++
+					if !names[m[2]] {
+						t.Errorf("%s:%d cites %s.%s, which internal/%s does not declare", doc, line, m[1], m[2], m[1])
+					}
+				}
+			}
+		})
+	}
+	if checked == 0 {
+		t.Error("no backticked pkg.Ident found; the pattern has gone stale")
 	}
 }

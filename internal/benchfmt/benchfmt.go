@@ -222,7 +222,9 @@ func ReadFile(r io.Reader) (File, error) {
 // capture. Ratio is current/baseline ns/op: 1.10 means 10% slower,
 // 0.50 means twice as fast. When both captures carry a heap_bytes
 // sample the heap fields mirror the ns fields (HeapRatio 0 otherwise);
-// Regression flags either axis over its threshold.
+// Regression flags either axis over its threshold. Missing marks a
+// baseline benchmark the current capture lacks; it is always a
+// Regression, and only Name and BaseNs are set.
 type Delta struct {
 	Name       string
 	BaseNs     float64
@@ -233,6 +235,7 @@ type Delta struct {
 	HeapRatio  float64
 	NsRegr     bool
 	HeapRegr   bool
+	Missing    bool
 	Regression bool
 }
 
@@ -242,18 +245,22 @@ type Delta struct {
 // The axes gate independently — a memory regression no longer hides
 // behind a speedup, which is exactly how a dropped arena reuse would
 // present. Heap is only compared where both files have a sample, so
-// ns-only baselines keep working. Benchmarks present in only one file
-// are skipped — a renamed or added benchmark is not a regression.
-// Deltas come back sorted by descending worst-axis ratio, worst first.
+// ns-only baselines keep working. A baseline benchmark with no match in
+// the current capture comes back Missing and flagged: a gated benchmark
+// that was renamed or deleted must fail the gate, not pass it silently.
+// Benchmarks only the current capture has are skipped — adding one is
+// not a regression. Deltas come back sorted worst first: missing rows,
+// then by descending worst-axis ratio.
 func Compare(base, cur File, threshold, heapThreshold float64) []Delta {
-	baseBy := map[string]Result{}
-	for _, r := range base.Results {
-		baseBy[r.Name] = r
+	curBy := map[string]Result{}
+	for _, r := range cur.Results {
+		curBy[r.Name] = r
 	}
 	var out []Delta
-	for _, c := range cur.Results {
-		b, ok := baseBy[c.Name]
+	for _, b := range base.Results {
+		c, ok := curBy[b.Name]
 		if !ok {
+			out = append(out, Delta{Name: b.Name, BaseNs: b.NsPerOp, Missing: true, Regression: true})
 			continue
 		}
 		d := Delta{
@@ -272,12 +279,16 @@ func Compare(base, cur File, threshold, heapThreshold float64) []Delta {
 		d.Regression = d.NsRegr || d.HeapRegr
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].worst() > out[j].worst() })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].worst() > out[j].worst() })
 	return out
 }
 
-// worst returns the delta's most regressed axis ratio.
+// worst returns the delta's most regressed axis ratio; a missing row
+// ranks above any ratio.
 func (d Delta) worst() float64 {
+	if d.Missing {
+		return math.Inf(1)
+	}
 	if d.HeapRatio > d.Ratio {
 		return d.HeapRatio
 	}

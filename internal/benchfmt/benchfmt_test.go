@@ -145,6 +145,9 @@ func TestParseHeapBytes(t *testing.T) {
 	}
 }
 
+// TestCompare pins the ns/op gate and its pairing rules: a baseline
+// row the capture lacks (a renamed or deleted gated benchmark) is a
+// regression, a row only the capture has is skipped.
 func TestCompare(t *testing.T) {
 	base := File{Results: []Result{
 		{Name: "A", NsPerOp: 100},
@@ -157,15 +160,18 @@ func TestCompare(t *testing.T) {
 		{Name: "New", NsPerOp: 50},
 	}}
 	deltas := Compare(base, cur, 0.15, 0.25)
-	if len(deltas) != 2 {
-		t.Fatalf("got %d deltas, want 2 (unpaired skipped): %+v", len(deltas), deltas)
+	if len(deltas) != 3 {
+		t.Fatalf("got %d deltas, want 3 (current-only New skipped): %+v", len(deltas), deltas)
 	}
-	// Sorted worst-first.
-	if deltas[0].Name != "B" || !deltas[0].Regression {
-		t.Errorf("worst delta = %+v, want regression on B", deltas[0])
+	// Sorted worst-first: the missing baseline row, then by ratio.
+	if deltas[0].Name != "Gone" || !deltas[0].Missing || !deltas[0].Regression {
+		t.Errorf("worst delta = %+v, want missing regression on Gone", deltas[0])
 	}
-	if deltas[1].Name != "A" || deltas[1].Regression {
-		t.Errorf("delta A = %+v, want no regression", deltas[1])
+	if deltas[1].Name != "B" || !deltas[1].Regression || deltas[1].Missing {
+		t.Errorf("delta B = %+v, want regression on B", deltas[1])
+	}
+	if deltas[2].Name != "A" || deltas[2].Regression {
+		t.Errorf("delta A = %+v, want no regression", deltas[2])
 	}
 	if !AnyRegression(deltas) {
 		t.Error("AnyRegression = false")

@@ -1,6 +1,6 @@
 // Package geom provides the planar geometry primitives used throughout the
-// charger-scheduling library: points, distances, rectangles and a kd-tree
-// for nearest-neighbour queries.
+// charger-scheduling library: points, distances, rectangles and convex
+// hulls. Nearest-neighbour queries live in metric.Grid.
 //
 // All coordinates are in metres, matching the paper's 1,000m x 1,000m
 // deployment field. Distances are Euclidean, so every distance function in

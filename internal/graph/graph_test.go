@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -158,13 +159,15 @@ func TestTreeEdgesAndAdjacency(t *testing.T) {
 	if !almost(w, tree.Weight) {
 		t.Errorf("edge sum %g != weight %g", w, tree.Weight)
 	}
-	adj := TreeAdjacency(tree.Parent)
-	deg := 0
-	for _, a := range adj {
-		deg += len(a)
+	// A path's MST is the path itself: inner vertices have degree 2,
+	// the two ends degree 1.
+	deg := make([]int, 4)
+	for _, e := range edges {
+		deg[e.U]++
+		deg[e.V]++
 	}
-	if deg != 6 { // 2 * edges
-		t.Errorf("total degree = %d, want 6", deg)
+	if want := []int{1, 2, 2, 1}; !reflect.DeepEqual(deg, want) {
+		t.Errorf("degrees = %v, want %v", deg, want)
 	}
 }
 
@@ -174,34 +177,12 @@ func TestKruskalDisconnected(t *testing.T) {
 	if len(out) != 2 || !almost(w, 3) {
 		t.Errorf("forest: %d edges weight %g", len(out), w)
 	}
-	comps := Components(4, out)
-	if len(comps) != 2 {
-		t.Errorf("components = %d, want 2", len(comps))
+	uf := NewUnionFind(4)
+	for _, e := range out {
+		uf.Union(e.U, e.V)
 	}
-}
-
-func TestComponents(t *testing.T) {
-	comps := Components(5, []Edge{{U: 0, V: 4}, {U: 1, V: 2}})
-	want := [][]int{{0, 4}, {1, 2}, {3}}
-	if len(comps) != len(want) {
-		t.Fatalf("components = %v", comps)
-	}
-	for i := range want {
-		if len(comps[i]) != len(want[i]) {
-			t.Fatalf("component %d = %v, want %v", i, comps[i], want[i])
-		}
-		for j := range want[i] {
-			if comps[i][j] != want[i][j] {
-				t.Fatalf("component %d = %v, want %v", i, comps[i], want[i])
-			}
-		}
-	}
-}
-
-func TestAdjacencyList(t *testing.T) {
-	adj := AdjacencyList(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if len(adj[1]) != 2 || len(adj[0]) != 1 || len(adj[2]) != 1 {
-		t.Errorf("adjacency = %v", adj)
+	if uf.Sets() != 2 || !uf.Connected(0, 1) || !uf.Connected(2, 3) || uf.Connected(1, 2) {
+		t.Errorf("forest %v does not span exactly {0,1} and {2,3}", out)
 	}
 }
 

@@ -127,53 +127,3 @@ func KruskalMSF(n int, edges []Edge) ([]Edge, float64) {
 	}
 	return out, total
 }
-
-// AdjacencyList converts an edge list over n vertices into an adjacency
-// list. Each undirected edge appears in both endpoint lists.
-func AdjacencyList(n int, edges []Edge) [][]int {
-	adj := make([][]int, n)
-	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	return adj
-}
-
-// TreeAdjacency converts a parent-array tree into an adjacency list.
-func TreeAdjacency(parent []int) [][]int {
-	adj := make([][]int, len(parent))
-	for v, p := range parent {
-		if p >= 0 {
-			adj[v] = append(adj[v], p)
-			adj[p] = append(adj[p], v)
-		}
-	}
-	return adj
-}
-
-// Components returns the connected components of the graph over n
-// vertices with the given edges, as a slice of vertex slices, each sorted,
-// ordered by smallest vertex.
-func Components(n int, edges []Edge) [][]int {
-	uf := NewUnionFind(n)
-	for _, e := range edges {
-		uf.Union(e.U, e.V)
-	}
-	byRoot := make(map[int][]int)
-	for v := 0; v < n; v++ {
-		r := uf.Find(v)
-		byRoot[r] = append(byRoot[r], v)
-	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		comp := byRoot[r]
-		sort.Ints(comp)
-		out = append(out, comp)
-	}
-	return out
-}

@@ -2,10 +2,10 @@ package metric
 
 // Dense is a flat, contiguous symmetric distance matrix with i*n+j
 // indexing. It is the cache-friendly workhorse of the hot loops: the
-// Prim scan, the 2-opt/Or-opt/3-opt refiners and the tour-splitting
-// walk all type-switch on Dense once at entry and then run with direct,
-// inlinable element access instead of per-distance interface dispatch
-// over a pointer-chasing [][]float64.
+// Prim scan, the 2-opt/Or-opt refiners and the tour-splitting walk all
+// type-switch on Dense once at entry and then read flat rows instead of
+// dispatching each distance through the Space interface over a
+// pointer-chasing [][]float64.
 //
 // Dense is a small value (an int and a slice header); copying a Dense
 // aliases the same backing array. Callers treat a built Dense as

@@ -20,17 +20,13 @@ import (
 // same depots. maxMoves bounds the number of relocations (0 means a
 // default of 4x the sensor count).
 func BalanceTours(sp metric.Space, sol Solution, maxMoves int) Solution {
-	// One type switch up front; the relocation search below then runs
-	// with inlined distance lookups when sp is Dense, and with candidate
-	// lists shortlisting insertion points when the instance is large
-	// enough to amortize building them.
+	// One type switch up front: over a Dense space the relocation
+	// search runs with candidate lists shortlisting insertion points
+	// when the instance is large enough to amortize building them.
 	if d, ok := metric.AsDense(sp); ok {
-		if nl := autoBalanceLists(d, sol); nl != nil {
-			return BalanceToursLists(d, nl, sol, maxMoves, nil)
-		}
-		return balanceTours(d, sol, maxMoves)
+		return balanceTours(d, autoBalanceLists(d, sol), sol, maxMoves, nil)
 	}
-	return balanceTours(sp, sol, maxMoves)
+	return balanceTours(sp, nil, sol, maxMoves, nil)
 }
 
 // autoBalanceLists mirrors the tsp package's auto-build policy: lists
@@ -47,75 +43,15 @@ func autoBalanceLists(d metric.Dense, sol Solution) *metric.NearestLists {
 	return d.NearestLists(metric.DefaultNearest)
 }
 
-// BalanceToursLists is BalanceTours over a Dense space with shared
-// candidate lists and an optional scratch arena; the relocation
-// sequence and final solution are bit-identical to BalanceTours. nl
-// must have been built from d; nil nl or nil sc degrade gracefully.
-func BalanceToursLists(d metric.Dense, nl *metric.NearestLists, sol Solution, maxMoves int, sc *tsp.Scratch) Solution {
-	if nl == nil {
-		return balanceTours(d, sol, maxMoves)
-	}
-	if sc == nil {
+// balanceTours is the relocation search behind BalanceTours. nl, when
+// non-nil, must have been built from sp; the removal 2-opt and the
+// insertion scan then run their exact candidate-list sweeps, so the
+// relocation sequence and final solution are bit-identical to nl ==
+// nil. A nil sc means "allocate privately".
+func balanceTours[S metric.Space](sp S, nl *metric.NearestLists, sol Solution, maxMoves int, sc *tsp.Scratch) Solution {
+	if nl != nil && sc == nil {
 		sc = tsp.NewScratch()
 	}
-	out := Solution{ForestWeight: sol.ForestWeight}
-	out.Tours = make([]Tour, len(sol.Tours))
-	for i, t := range sol.Tours {
-		out.Tours[i] = Tour{Depot: t.Depot, Stops: append([]int(nil), t.Stops...), Cost: t.Cost}
-	}
-	nStops := 0
-	for _, t := range out.Tours {
-		nStops += len(t.Stops)
-	}
-	if maxMoves <= 0 {
-		maxMoves = 4 * nStops
-	}
-	if len(out.Tours) < 2 {
-		return out
-	}
-	for move := 0; move < maxMoves; move++ {
-		donor := 0
-		for i, t := range out.Tours {
-			if t.Cost > out.Tours[donor].Cost {
-				donor = i
-			}
-		}
-		if len(out.Tours[donor].Stops) == 0 {
-			break
-		}
-		maxLen := out.Tours[donor].Cost
-		bestStop, bestRecv, bestNewMax := -1, -1, maxLen
-		var bestDonor, bestRecvTour Tour
-		for si, s := range out.Tours[donor].Stops {
-			donorWithout := removeStopLists(d, nl, out.Tours[donor], si, sc)
-			for ri := range out.Tours {
-				if ri == donor {
-					continue
-				}
-				recvWith := insertCheapestLists(d, nl, out.Tours[ri], s, sc)
-				newMax := math.Max(donorWithout.Cost, recvWith.Cost)
-				for oi, o := range out.Tours {
-					if oi != donor && oi != ri {
-						newMax = math.Max(newMax, o.Cost)
-					}
-				}
-				if newMax < bestNewMax-1e-9 {
-					bestNewMax = newMax
-					bestStop, bestRecv = si, ri
-					bestDonor, bestRecvTour = donorWithout, recvWith
-				}
-			}
-		}
-		if bestStop < 0 {
-			break // no improving relocation
-		}
-		out.Tours[donor] = bestDonor
-		out.Tours[bestRecv] = bestRecvTour
-	}
-	return out
-}
-
-func balanceTours[S metric.Space](sp S, sol Solution, maxMoves int) Solution {
 	out := Solution{ForestWeight: sol.ForestWeight}
 	out.Tours = make([]Tour, len(sol.Tours))
 	for i, t := range sol.Tours {
@@ -146,12 +82,12 @@ func balanceTours[S metric.Space](sp S, sol Solution, maxMoves int) Solution {
 		bestStop, bestRecv, bestNewMax := -1, -1, maxLen
 		var bestDonor, bestRecvTour Tour
 		for si, s := range out.Tours[donor].Stops {
-			donorWithout := removeStop(sp, out.Tours[donor], si)
+			donorWithout := removeStop(sp, nl, out.Tours[donor], si, sc)
 			for ri := range out.Tours {
 				if ri == donor {
 					continue
 				}
-				recvWith := insertCheapest(sp, out.Tours[ri], s)
+				recvWith := insertCheapest(sp, nl, out.Tours[ri], s, sc)
 				newMax := math.Max(donorWithout.Cost, recvWith.Cost)
 				for oi, o := range out.Tours {
 					if oi != donor && oi != ri {
@@ -175,63 +111,27 @@ func balanceTours[S metric.Space](sp S, sol Solution, maxMoves int) Solution {
 }
 
 // removeStop returns tour t without its si-th stop, lightly re-optimized
-// with 2-opt.
-func removeStop[S metric.Space](sp S, t Tour, si int) Tour {
+// with 2-opt (candidate-list pruned when nl is non-nil).
+func removeStop[S metric.Space](sp S, nl *metric.NearestLists, t Tour, si int, sc *tsp.Scratch) Tour {
 	stops := make([]int, 0, len(t.Stops)-1)
 	stops = append(stops, t.Stops[:si]...)
 	stops = append(stops, t.Stops[si+1:]...)
 	nt := Tour{Depot: t.Depot, Stops: stops}
 	if len(stops) > 2 {
 		v := nt.Vertices()
-		v, _ = tsp.TwoOpt(sp, v, 2)
+		v, _ = tsp.TwoOptLists(sp, nl, v, 2, sc)
 		nt.Stops = v[1:]
 	}
 	nt.Cost = tsp.Cost(sp, nt.Vertices())
 	return nt
 }
 
-// removeStopLists is removeStop through the candidate-list 2-opt;
-// bit-identical to removeStop over the same Dense space.
-func removeStopLists(d metric.Dense, nl *metric.NearestLists, t Tour, si int, sc *tsp.Scratch) Tour {
-	stops := make([]int, 0, len(t.Stops)-1)
-	stops = append(stops, t.Stops[:si]...)
-	stops = append(stops, t.Stops[si+1:]...)
-	nt := Tour{Depot: t.Depot, Stops: stops}
-	if len(stops) > 2 {
-		v := nt.Vertices()
-		v, _ = tsp.TwoOptLists(d, nl, v, 2, sc)
-		nt.Stops = v[1:]
-	}
-	nt.Cost = tsp.Cost(d, nt.Vertices())
-	return nt
-}
-
-// insertCheapestLists is insertCheapest with the insertion scan pruned
-// by s's candidate list (tsp.InsertionPoint); bit-identical result.
-func insertCheapestLists(d metric.Dense, nl *metric.NearestLists, t Tour, s int, sc *tsp.Scratch) Tour {
-	verts := t.Vertices()
-	bestPos, _ := tsp.InsertionPoint(d, nl, verts, s, sc)
-	stops := make([]int, 0, len(t.Stops)+1)
-	stops = append(stops, verts[1:bestPos]...)
-	stops = append(stops, s)
-	stops = append(stops, verts[bestPos:]...)
-	nt := Tour{Depot: t.Depot, Stops: stops}
-	nt.Cost = tsp.Cost(d, nt.Vertices())
-	return nt
-}
-
 // insertCheapest inserts sensor s into tour t at the position that
-// increases its length least.
-func insertCheapest[S metric.Space](sp S, t Tour, s int) Tour {
+// increases its length least (tsp.InsertionPoint, candidate-list pruned
+// when nl is non-nil).
+func insertCheapest[S metric.Space](sp S, nl *metric.NearestLists, t Tour, s int, sc *tsp.Scratch) Tour {
 	verts := t.Vertices()
-	bestPos, bestDelta := len(verts), math.Inf(1)
-	for i := 0; i < len(verts); i++ {
-		a := verts[i]
-		b := verts[(i+1)%len(verts)]
-		if delta := sp.Dist(a, s) + sp.Dist(s, b) - sp.Dist(a, b); delta < bestDelta {
-			bestPos, bestDelta = i+1, delta
-		}
-	}
+	bestPos, _ := tsp.InsertionPoint(sp, nl, verts, s, sc)
 	stops := make([]int, 0, len(t.Stops)+1)
 	stops = append(stops, verts[1:bestPos]...)
 	stops = append(stops, s)

@@ -21,10 +21,10 @@ func TestBalanceToursListsMatchPlain(t *testing.T) {
 		d := metric.Materialize(randomSpace(r, n))
 		depots, sensors := splitIndices(r, n, q)
 		sol := Tours(d, depots, sensors, Options{})
-		want := balanceTours(d, sol, 0)
+		want := balanceTours(d, nil, sol, 0, nil)
 		for _, k := range []int{2, 8, 16, n} {
 			nl := d.NearestLists(k)
-			got := BalanceToursLists(d, nl, sol, 0, sc)
+			got := balanceTours(d, nl, sol, 0, sc)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d k=%d: listed balance diverged from plain", trial, k)
 			}
@@ -65,9 +65,9 @@ func TestRefineWithNeighborsMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestCheapestInsertionMatchesScan pins tsp.CheapestInsertion (used by
-// the balance relocation search) to the plain linear scan, across list
-// sizes and tour subsets.
+// TestCheapestInsertionMatchesScan pins the candidate-list
+// tsp.InsertionPoint (used by the balance relocation search) to the
+// plain linear scan, across list sizes and tour subsets.
 func TestCheapestInsertionMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(127))
 	d := metric.Materialize(randomSpace(r, 120))

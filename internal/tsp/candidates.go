@@ -8,11 +8,11 @@ import (
 
 // This file implements the candidate-list ("neighbor-list") variants of
 // the local-search refiners. They run the *same* first-improvement
-// sweeps as TwoOpt/OrOpt/SegmentExchange — identical scan order,
-// identical strict-< tie-breaking, identical move application — but
-// skip positions that provably cannot host an improving move, so the
-// final tour and move count are bit-identical to the full sweeps on any
-// input (the property the equivalence tests in candidates_test.go pin).
+// sweeps as TwoOpt/OrOpt — identical scan order, identical strict-<
+// tie-breaking, identical move application — but skip positions that
+// provably cannot host an improving move, so the final tour and move
+// count are bit-identical to the full sweeps on any input (the property
+// the equivalence tests in candidates_test.go pin).
 //
 // The pruning rests on two ingredients:
 //
@@ -60,40 +60,42 @@ func autoLists(d metric.Dense, tourLen int) *metric.NearestLists {
 	return d.NearestLists(metric.DefaultNearest)
 }
 
-// TwoOptLists is TwoOpt over a Dense space with shared candidate lists
-// and an optional scratch arena. nl must have been built from d (lists
-// from another space are a caller bug); nil nl or a nil sc degrade
-// gracefully. The result is bit-identical to TwoOpt(d, tour, maxRounds).
-func TwoOptLists(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds int, sc *Scratch) ([]int, int) {
+// TwoOptLists is TwoOpt with shared candidate lists and an optional
+// scratch arena. It is the one candidate-list 2-opt: the Dense
+// instantiation serves the paper-scale paths, and the metric.Coords
+// instantiation serves RefineTourGrid, whose tour entries are local
+// indices into a grid sub-index. nl must have been built over the same
+// points as sp (lists from another space are a caller bug); nil nl or a
+// nil sc degrade gracefully. The result is bit-identical to the plain
+// sweep twoOpt(sp, tour, maxRounds).
+func TwoOptLists[S metric.Space](sp S, nl *metric.NearestLists, tour []int, maxRounds int, sc *Scratch) ([]int, int) {
 	const eps = 1e-9
 	n := len(tour)
 	if n < 4 {
 		return tour, 0
 	}
 	if nl == nil {
-		return twoOpt(d, tour, maxRounds)
+		return twoOpt(sp, tour, maxRounds)
 	}
 	if sc == nil {
 		sc = NewScratch()
 	}
-	pos := sc.positions(d.Len())
+	pos := sc.positions(sp.Len())
 	elen := sc.edges(n)
 	for idx, v := range tour {
 		pos[v] = int32(idx)
-		elen[idx] = d.Dist(v, tour[(idx+1)%n])
+		elen[idx] = sp.Dist(v, tour[(idx+1)%n])
 	}
 	moves := 0
 	for round := 0; maxRounds < 0 || round < maxRounds; round++ {
 		improved := false
 		for i := 0; i < n-1; i++ {
 			a := tour[i]
-			arow := d.Row(a)
 			jStart := i + 2
 			full := false
 			for jStart < n {
 				b := tour[i+1]
 				dab := elen[i]
-				brow := d.Row(b)
 				// The candidate radius is dab; if either truncated list
 				// cannot certify completeness at that radius, scan every
 				// j for this row (sticky: a move only shrinks dab's
@@ -125,9 +127,9 @@ func TwoOptLists(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds 
 						continue // would reverse the whole tour
 					}
 					c, dv := tour[j], tour[(j+1)%n]
-					delta := arow[c] + brow[dv] - dab - elen[j]
+					delta := sp.Dist(a, c) + sp.Dist(b, dv) - dab - elen[j]
 					if delta < -eps {
-						reverseSegment(d, tour, pos, elen, i, j)
+						reverseSegment(sp, tour, pos, elen, i, j)
 						moves++
 						improved = true
 						if full {
@@ -135,7 +137,6 @@ func TwoOptLists(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds 
 							// row after a move; mirror it in place.
 							b = tour[i+1]
 							dab = elen[i]
-							brow = d.Row(b)
 							continue
 						}
 						// Candidate marks were computed against the old
@@ -199,7 +200,7 @@ func (sc *Scratch) gatherTwoOpt(nl *metric.NearestLists, pos []int32, a, b, jSta
 // reverseSegment reverses tour[i+1..j] in place, maintaining pos and
 // elen: interior edge lengths mirror around the segment center, and
 // only the two boundary edges change value.
-func reverseSegment(d metric.Dense, tour []int, pos []int32, elen []float64, i, j int) {
+func reverseSegment[S metric.Space](sp S, tour []int, pos []int32, elen []float64, i, j int) {
 	for l, r := i+1, j; l < r; l, r = l+1, r-1 {
 		tour[l], tour[r] = tour[r], tour[l]
 		pos[tour[l]] = int32(l)
@@ -208,30 +209,31 @@ func reverseSegment(d metric.Dense, tour []int, pos []int32, elen []float64, i, 
 	for l, r := i+1, j-1; l < r; l, r = l+1, r-1 {
 		elen[l], elen[r] = elen[r], elen[l]
 	}
-	elen[i] = d.Dist(tour[i], tour[i+1])
-	elen[j] = d.Dist(tour[j], tour[(j+1)%len(tour)])
+	elen[i] = sp.Dist(tour[i], tour[i+1])
+	elen[j] = sp.Dist(tour[j], tour[(j+1)%len(tour)])
 }
 
 // OrOptLists is OrOpt with shared candidate lists; bit-identical to
-// OrOpt(d, tour, maxRounds). Same contracts as TwoOptLists.
-func OrOptLists(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds int, sc *Scratch) ([]int, int) {
+// the plain sweep orOpt(sp, tour, maxRounds). Same contracts and
+// instantiations as TwoOptLists.
+func OrOptLists[S metric.Space](sp S, nl *metric.NearestLists, tour []int, maxRounds int, sc *Scratch) ([]int, int) {
 	const eps = 1e-9
 	n := len(tour)
 	if n < 5 {
 		return tour, 0
 	}
 	if nl == nil {
-		return orOpt(d, tour, maxRounds)
+		return orOpt(sp, tour, maxRounds)
 	}
 	if sc == nil {
 		sc = NewScratch()
 	}
-	pos := sc.positions(d.Len())
+	pos := sc.positions(sp.Len())
 	elen := sc.edges(n)
 	reindex := func() {
 		for idx, v := range tour {
 			pos[v] = int32(idx)
-			elen[idx] = d.Dist(v, tour[(idx+1)%n])
+			elen[idx] = sp.Dist(v, tour[(idx+1)%n])
 		}
 	}
 	reindex()
@@ -245,11 +247,10 @@ func OrOptLists(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds i
 				s0 := tour[i]
 				s1 := tour[i+segLen-1]
 				p1 := at(i + segLen)
-				removeGain := d.Dist(p0, s0) + d.Dist(s1, p1) - d.Dist(p0, p1)
+				removeGain := sp.Dist(p0, s0) + sp.Dist(s1, p1) - sp.Dist(p0, p1)
 				if removeGain <= eps {
 					continue
 				}
-				s0row, s1row := d.Row(s0), d.Row(s1)
 				// Exactness: inserting the segment after position j
 				// improves only if insCost = d(a,s0) + d(s1,b) - elen[j]
 				// < removeGain, which forces d(s0,a) < removeGain +
@@ -283,7 +284,7 @@ func OrOptLists(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds i
 					}
 					a := tour[j]
 					b := at(j + 1)
-					insCost := s0row[a] + s1row[b] - elen[j]
+					insCost := sp.Dist(s0, a) + sp.Dist(s1, b) - elen[j]
 					if delta := insCost - removeGain; delta < bestDelta {
 						bestJ, bestDelta = j, delta
 					}
@@ -307,153 +308,6 @@ func OrOptLists(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds i
 	return tour, moves
 }
 
-// SegmentExchangeLists is SegmentExchange with shared candidate lists;
-// bit-identical to SegmentExchange(d, tour, maxRounds). Same contracts
-// as TwoOptLists.
-func SegmentExchangeLists(d metric.Dense, nl *metric.NearestLists, tour []int, maxRounds int, sc *Scratch) ([]int, int) {
-	const eps = 1e-9
-	n := len(tour)
-	if n < 5 {
-		return tour, 0
-	}
-	if nl == nil {
-		return segmentExchange(d, tour, maxRounds)
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	pos := sc.positions(d.Len())
-	elen := sc.edges(n)
-	for idx, v := range tour {
-		pos[v] = int32(idx)
-		elen[idx] = d.Dist(v, tour[(idx+1)%n])
-	}
-	moves := 0
-	for round := 0; maxRounds < 0 || round < maxRounds; round++ {
-		improved := false
-		for i := 0; i < n-3; i++ {
-			a := tour[i]
-			arow := d.Row(a)
-			for j := i + 1; j < n-2; j++ {
-				kStart := j + 1
-				full := false
-				for kStart < n {
-					b := tour[i+1]
-					dab := elen[i]
-					c, dv := tour[j], tour[j+1]
-					dcd := elen[j]
-					dad := arow[dv]
-					brow, crow := d.Row(b), d.Row(c)
-					if !full && (dab > nl.Radius(b) || dcd > nl.Radius(c)) {
-						full = true
-					}
-					var cand []int32
-					ci := 0
-					if !full {
-						cand = sc.gatherExchange(nl, pos, b, c, kStart, n, dab, dcd)
-					}
-					moved := false
-					for k := kStart; k < n; k++ {
-						if !full {
-							for ci < len(cand) && int(cand[ci]) < k {
-								ci++
-							}
-							// Exactness: delta = (d(a,d) - d(e,f)) +
-							// (d(e,b) - d(a,b)) + (d(c,f) - d(c,d)); an
-							// improving k makes some bracket negative.
-							// elen[k] = d(e,f) <= dad kills the first;
-							// the other two put e within dab of b or f
-							// within dcd of c — both marked.
-							if (ci == len(cand) || int(cand[ci]) != k) && elen[k] <= dad {
-								continue
-							}
-						}
-						if i == 0 && k == n-1 {
-							continue // wraps the whole tour
-						}
-						e := tour[k]
-						f := tour[(k+1)%n]
-						delta := dad + brow[e] + crow[f] - dab - dcd - elen[k]
-						if delta < -eps {
-							exchangeInPlace(d, sc, tour, pos, elen, i, j, k)
-							moves++
-							improved = true
-							// Positions and row anchors shifted; re-enter
-							// with fresh values, like the plain sweep's
-							// post-move refresh.
-							kStart = k + 1
-							moved = true
-							break
-						}
-					}
-					if !moved {
-						break
-					}
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	for _, v := range tour {
-		pos[v] = -1
-	}
-	return tour, moves
-}
-
-// gatherExchange marks the sorted k-positions whose segment-exchange
-// move against rows (i, j) could improve: positions of b's list
-// vertices within dab (they appear as e = tour[k]) and predecessors of
-// c's list vertices within dcd (they appear as f = tour[(k+1)%n]).
-func (sc *Scratch) gatherExchange(nl *metric.NearestLists, pos []int32, b, c, kStart, n int, dab, dcd float64) []int32 {
-	cand := sc.cand[:0]
-	ids, ds := nl.Neighbors(b)
-	for t := range ids {
-		if ds[t] >= dab {
-			break
-		}
-		if p := pos[ids[t]]; int(p) >= kStart {
-			cand = append(cand, p)
-		}
-	}
-	ids, ds = nl.Neighbors(c)
-	for t := range ids {
-		if ds[t] >= dcd {
-			break
-		}
-		if p := pos[ids[t]]; p >= 0 {
-			k := int(p) - 1
-			if k < 0 {
-				k = n - 1
-			}
-			if k >= kStart {
-				cand = append(cand, int32(k))
-			}
-		}
-	}
-	sortInt32(cand)
-	sc.cand = cand
-	return cand
-}
-
-// exchangeInPlace rewrites tour[i+1..k] as C + B (the segment-exchange
-// move) without allocating, then repairs pos and elen over the touched
-// range; positions outside [i, k] are unaffected.
-func exchangeInPlace(d metric.Dense, sc *Scratch, tour []int, pos []int32, elen []float64, i, j, k int) {
-	n := len(tour)
-	buf := sc.ints(k - i)
-	copy(buf[:k-j], tour[j+1:k+1])
-	copy(buf[k-j:], tour[i+1:j+1])
-	copy(tour[i+1:k+1], buf)
-	for l := i + 1; l <= k; l++ {
-		pos[tour[l]] = int32(l)
-	}
-	for l := i; l <= k; l++ {
-		elen[l] = d.Dist(tour[l], tour[(l+1)%n])
-	}
-}
-
 // InsertionPoint returns the position (1..len(verts)) at which
 // inserting s into the closed tour verts increases its length least,
 // together with that increase: the argmin over i of
@@ -463,14 +317,13 @@ func exchangeInPlace(d metric.Dense, sc *Scratch, tour []int, pos []int32, elen 
 // once the incumbent beats Radius(s) - elen[i] — a valid lower bound on
 // their delta by distance non-negativity alone — so the result is
 // bit-identical to the full scan. nl == nil always runs the full scan.
-func InsertionPoint(d metric.Dense, nl *metric.NearestLists, verts []int, s int, sc *Scratch) (int, float64) {
+func InsertionPoint[S metric.Space](sp S, nl *metric.NearestLists, verts []int, s int, sc *Scratch) (int, float64) {
 	n := len(verts)
-	srow := d.Row(s)
 	bestPos, bestDelta := n, math.Inf(1)
 	if nl == nil || n < 4 {
 		for i := 0; i < n; i++ {
 			a, b := verts[i], verts[(i+1)%n]
-			if delta := srow[a] + srow[b] - d.Dist(a, b); delta < bestDelta {
+			if delta := sp.Dist(s, a) + sp.Dist(s, b) - sp.Dist(a, b); delta < bestDelta {
 				bestPos, bestDelta = i+1, delta
 			}
 		}
@@ -479,11 +332,11 @@ func InsertionPoint(d metric.Dense, nl *metric.NearestLists, verts []int, s int,
 	if sc == nil {
 		sc = NewScratch()
 	}
-	pos := sc.positions(d.Len())
+	pos := sc.positions(sp.Len())
 	elen := sc.edges(n)
 	for i, v := range verts {
 		pos[v] = int32(i)
-		elen[i] = d.Dist(v, verts[(i+1)%n])
+		elen[i] = sp.Dist(v, verts[(i+1)%n])
 	}
 	cand := sc.cand[:0]
 	ids, _ := nl.Neighbors(s)
@@ -511,7 +364,7 @@ func InsertionPoint(d metric.Dense, nl *metric.NearestLists, verts []int, s int,
 			continue
 		}
 		a, b := verts[i], verts[(i+1)%n]
-		if delta := srow[a] + srow[b] - elen[i]; delta < bestDelta {
+		if delta := sp.Dist(s, a) + sp.Dist(s, b) - elen[i]; delta < bestDelta {
 			bestPos, bestDelta = i+1, delta
 		}
 	}

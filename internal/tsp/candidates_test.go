@@ -17,9 +17,8 @@ type refiner struct {
 
 func refiners() []refiner {
 	return []refiner{
-		{"TwoOpt", TwoOptLists, func(d metric.Dense, tour []int, r int) ([]int, int) { return twoOpt(d, tour, r) }},
-		{"OrOpt", OrOptLists, func(d metric.Dense, tour []int, r int) ([]int, int) { return orOpt(d, tour, r) }},
-		{"SegmentExchange", SegmentExchangeLists, func(d metric.Dense, tour []int, r int) ([]int, int) { return segmentExchange(d, tour, r) }},
+		{"TwoOpt", TwoOptLists[metric.Dense], func(d metric.Dense, tour []int, r int) ([]int, int) { return twoOpt(d, tour, r) }},
+		{"OrOpt", OrOptLists[metric.Dense], func(d metric.Dense, tour []int, r int) ([]int, int) { return orOpt(d, tour, r) }},
 	}
 }
 
@@ -50,9 +49,6 @@ func TestCandidateListsMatchFullSweep(t *testing.T) {
 			nl := d.NearestLists(k)
 			for _, rounds := range []int{1, 3, -1} {
 				for _, rf := range refiners() {
-					if rf.name == "SegmentExchange" && n > 100 && rounds < 0 {
-						continue // O(n^3) until convergence: too slow for the matrix of cases
-					}
 					base := randomTour(r, n)
 					want := append([]int(nil), base...)
 					got := append([]int(nil), base...)
@@ -102,9 +98,9 @@ func TestCandidateListsSubsetTour(t *testing.T) {
 	}
 }
 
-// TestPublicEntriesAutoBuild checks that the public TwoOpt/OrOpt/
-// SegmentExchange still return full-sweep results when the auto-build
-// threshold trips (tour large relative to the space).
+// TestPublicEntriesAutoBuild checks that the public TwoOpt/OrOpt still
+// return full-sweep results when the auto-build threshold trips (tour
+// large relative to the space).
 func TestPublicEntriesAutoBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	n := autoListMinTour + 40 // above the auto-build floor
@@ -118,12 +114,8 @@ func TestPublicEntriesAutoBuild(t *testing.T) {
 	for _, e := range []entry{
 		{"TwoOpt", TwoOpt, func(d metric.Dense, tour []int, r int) ([]int, int) { return twoOpt(d, tour, r) }},
 		{"OrOpt", OrOpt, func(d metric.Dense, tour []int, r int) ([]int, int) { return orOpt(d, tour, r) }},
-		{"SegmentExchange", SegmentExchange, func(d metric.Dense, tour []int, r int) ([]int, int) { return segmentExchange(d, tour, r) }},
 	} {
 		rounds := -1
-		if e.name == "SegmentExchange" {
-			rounds = 2
-		}
 		want := append([]int(nil), base...)
 		got := append([]int(nil), base...)
 		want, wantMoves := e.plain(d, want, rounds)
@@ -139,7 +131,7 @@ func TestPublicEntriesAutoBuild(t *testing.T) {
 	}
 }
 
-// TestNearestListsSharedAcrossWorkers runs the three candidate-list
+// TestNearestListsSharedAcrossWorkers runs the candidate-list
 // refiners concurrently against one shared NearestLists (and one shared
 // Dense), each goroutine with its own tour and Scratch — the sharing
 // contract the experiment sweep relies on. Run under -race this is the
@@ -157,7 +149,6 @@ func TestNearestListsSharedAcrossWorkers(t *testing.T) {
 		ref := append([]int(nil), tours[w]...)
 		ref, _ = twoOpt(d, ref, -1)
 		ref, _ = orOpt(d, ref, 2)
-		ref, _ = segmentExchange(d, ref, 1)
 		wants[w] = ref
 	}
 
@@ -170,7 +161,6 @@ func TestNearestListsSharedAcrossWorkers(t *testing.T) {
 			got := append([]int(nil), tours[w]...)
 			got, _ = TwoOptLists(d, nl, got, -1, sc)
 			got, _ = OrOptLists(d, nl, got, 2, sc)
-			got, _ = SegmentExchangeLists(d, nl, got, 1, sc)
 			tours[w] = got
 		}(w)
 	}

@@ -56,10 +56,11 @@ func flattenRefine(g *metric.Grid, tour []int, rounds int, sc *Scratch) []int {
 }
 
 // TestGridRefinersMatchFlatten is the exactness property the on-grid
-// sweeps are built on: TwoOptGrid and OrOptGrid applied through a
-// coordinate view produce the identical tour and move count as
-// TwoOptLists/OrOptLists on the flattened Dense over the same vertices,
-// for every list size (complete and truncated) and round budget.
+// sweeps are built on: TwoOptLists and OrOptLists instantiated over a
+// metric.Coords view produce the identical tour and move count as the
+// same functions instantiated over the flattened Dense of the same
+// vertices, for every list size (complete and truncated) and round
+// budget.
 func TestGridRefinersMatchFlatten(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	scGrid, scDense := NewScratch(), NewScratch()
@@ -79,13 +80,13 @@ func TestGridRefinersMatchFlatten(t *testing.T) {
 					wantT := append([]int(nil), base...)
 					gotT := append([]int(nil), base...)
 					wantT, wantMoves := TwoOptLists(d, &nl, wantT, rounds, scDense)
-					gotT, gotMoves := TwoOptGrid(cs, &nl, gotT, rounds, scGrid)
+					gotT, gotMoves := TwoOptLists(cs, &nl, gotT, rounds, scGrid)
 					checkSame(t, "TwoOpt", n, m, k, rounds, gotT, wantT, gotMoves, wantMoves)
 
 					wantO := append([]int(nil), wantT...)
 					gotO := append([]int(nil), gotT...)
 					wantO, wantMoves = OrOptLists(d, &nl, wantO, rounds, scDense)
-					gotO, gotMoves = OrOptGrid(cs, &nl, gotO, rounds, scGrid)
+					gotO, gotMoves = OrOptLists(cs, &nl, gotO, rounds, scGrid)
 					checkSame(t, "OrOpt", n, m, k, rounds, gotO, wantO, gotMoves, wantMoves)
 				}
 			}

@@ -12,17 +12,13 @@ import "repro/internal/metric"
 // Complexity is O(n^2) per sweep. eps guards against endless loops on
 // floating-point noise.
 //
-// When sp is a metric.Dense the sweep runs a devirtualized instantiation
-// whose distance lookups inline to flat-array indexing; on instances
-// large enough to amortize the build it additionally runs the exact
-// candidate-list sweep (see candidates.go). The move sequence (and
-// hence the result) is identical on all paths.
+// When sp is a metric.Dense the sweep runs TwoOptLists instantiated
+// over the concrete Dense, with candidate lists on instances large
+// enough to amortize building them (see candidates.go). The move
+// sequence (and hence the result) is identical on all paths.
 func TwoOpt(sp metric.Space, tour []int, maxRounds int) ([]int, int) {
 	if d, ok := metric.AsDense(sp); ok {
-		if nl := autoLists(d, len(tour)); nl != nil {
-			return TwoOptLists(d, nl, tour, maxRounds, nil)
-		}
-		return twoOpt(d, tour, maxRounds)
+		return TwoOptLists(d, autoLists(d, len(tour)), tour, maxRounds, nil)
 	}
 	return twoOpt(sp, tour, maxRounds)
 }
@@ -68,13 +64,10 @@ func twoOpt[S metric.Space](sp S, tour []int, maxRounds int) ([]int, int) {
 // consecutive vertices to a better position, preserving tour[0]. It
 // complements TwoOpt: segment reversal cannot express single-vertex
 // relocation cheaply. Returns the tour and the number of moves applied.
-// Like TwoOpt it dispatches to a devirtualized sweep on metric.Dense.
+// Like TwoOpt it dispatches to OrOptLists on metric.Dense.
 func OrOpt(sp metric.Space, tour []int, maxRounds int) ([]int, int) {
 	if d, ok := metric.AsDense(sp); ok {
-		if nl := autoLists(d, len(tour)); nl != nil {
-			return OrOptLists(d, nl, tour, maxRounds, nil)
-		}
-		return orOpt(d, tour, maxRounds)
+		return OrOptLists(d, autoLists(d, len(tour)), tour, maxRounds, nil)
 	}
 	return orOpt(sp, tour, maxRounds)
 }

@@ -121,7 +121,7 @@ func TestImproversComposeWithDoubleTree(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 10 + r.Intn(40)
 		sp := randomSpace(r, n)
-		base := MSTTour(sp, 0)
+		base := primTour(sp, 0)
 		refined := append([]int(nil), base...)
 		refined, _ = TwoOpt(sp, refined, -1)
 		refined, _ = OrOpt(sp, refined, -1)

@@ -3,11 +3,10 @@ package tsp
 import "repro/internal/metric"
 
 // Scratch is a reusable per-goroutine arena for the candidate-list
-// local-search sweeps (TwoOptLists, OrOptLists, SegmentExchangeLists)
-// and the on-grid refiners (RefineTourGrid). Passing the same Scratch
-// across many calls — the experiment sweep worker loop refines
-// thousands of tours per cell — takes their steady-state allocation
-// rate to zero. A Scratch must not be shared between concurrent calls;
+// local-search sweeps (TwoOptLists, OrOptLists, InsertionPoint) and the
+// on-grid refiner (RefineTourGrid). Passing the same Scratch across
+// many calls — the experiment sweep worker loop refines thousands of
+// tours per cell — takes their steady-state allocation rate to zero. A Scratch must not be shared between concurrent calls;
 // nil is always accepted and means "allocate privately".
 type Scratch struct {
 	// pos maps vertex id -> current tour position. Invariant between
@@ -19,7 +18,8 @@ type Scratch struct {
 	elen []float64
 	// cand holds the sorted candidate positions of the current scan row.
 	cand []int32
-	// buf backs the in-place segment rotation of 3-opt moves.
+	// buf holds RefineTourGrid's copy of the caller's tour while the
+	// refined local order is mapped back onto vertex ids.
 	buf []int
 	// sub and lists back the per-tour grid sub-index and candidate
 	// lists of RefineTourGrid; local is its identity working tour.

@@ -4,11 +4,11 @@
 // The paper's Algorithm 2 converts each tree of a q-rooted minimum
 // spanning forest into a closed tour by doubling its edges, extracting an
 // Euler circuit and shortcutting repeats — the classic double-tree
-// 2-approximation. That construction is implemented here, alongside the
-// standard constructive heuristics (nearest neighbour, cheapest insertion)
-// and local-search improvers (2-opt, Or-opt) used by the ablation
-// experiments, plus an exact Held–Karp solver for the tiny instances the
-// test suite uses to measure empirical approximation ratios.
+// 2-approximation. That construction is implemented here, alongside
+// Christofides, the nearest-neighbour constructor and the local-search
+// improvers (2-opt, Or-opt) used by the ablation experiments, plus an
+// exact Held–Karp solver for the tiny instances the test suite uses to
+// measure empirical approximation ratios.
 //
 // A tour is a []int of distinct vertex indices into a metric.Space; the
 // closing edge from the last vertex back to the first is implicit.
@@ -100,16 +100,6 @@ func DoubleTree(sp metric.Space, tree graph.Tree, root int) []int {
 	return graph.Shortcut(walk)
 }
 
-// MSTTour computes a minimum spanning tree of sp rooted at root and
-// returns its double-tree tour: the end-to-end 2-approximate TSP used when
-// q = 1.
-func MSTTour(sp metric.Space, root int) []int {
-	if sp.Len() == 0 {
-		return nil
-	}
-	return DoubleTree(sp, graph.PrimMST(sp, root), root)
-}
-
 // NearestNeighbor builds a tour greedily from start, always travelling to
 // the closest unvisited vertex. O(n^2). No worst-case guarantee, but a
 // strong practical constructor; the ablation benches compare it against
@@ -144,56 +134,6 @@ func nearestNeighbor[S metric.Space](sp S, start int) []int {
 		visited[next] = true
 		tour = append(tour, next)
 		cur = next
-	}
-	return tour
-}
-
-// CheapestInsertion grows a tour from start by repeatedly inserting the
-// unvisited vertex whose best insertion position increases the tour length
-// the least. O(n^2) with incremental bookkeeping. Returns a tour starting
-// at start.
-func CheapestInsertion(sp metric.Space, start int) []int {
-	if d, ok := metric.AsDense(sp); ok {
-		return cheapestInsertion(d, start)
-	}
-	return cheapestInsertion(sp, start)
-}
-
-func cheapestInsertion[S metric.Space](sp S, start int) []int {
-	n := sp.Len()
-	if n == 0 {
-		return nil
-	}
-	if n == 1 {
-		return []int{start}
-	}
-	inTour := make([]bool, n)
-	tour := []int{start}
-	inTour[start] = true
-	for len(tour) < n {
-		bestV, bestPos, bestDelta := -1, -1, 0.0
-		for v := 0; v < n; v++ {
-			if inTour[v] {
-				continue
-			}
-			for i := 0; i < len(tour); i++ {
-				a := tour[i]
-				b := tour[(i+1)%len(tour)]
-				delta := sp.Dist(a, v) + sp.Dist(v, b) - sp.Dist(a, b)
-				if bestV == -1 || delta < bestDelta {
-					bestV, bestPos, bestDelta = v, i+1, delta
-				}
-			}
-		}
-		tour = append(tour, 0)
-		copy(tour[bestPos+1:], tour[bestPos:])
-		tour[bestPos] = bestV
-		inTour[bestV] = true
-	}
-	// Rotation keeps start first (insertion can only place vertices
-	// after position 0, so start already is; assert cheaply).
-	if tour[0] != start {
-		panic("tsp: CheapestInsertion lost its start vertex")
 	}
 	return tour
 }

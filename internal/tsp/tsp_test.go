@@ -63,9 +63,8 @@ func TestValidate(t *testing.T) {
 func TestConstructorsProduceValidTours(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	constructors := map[string]func(metric.Space, int) []int{
-		"MSTTour":           MSTTour,
-		"NearestNeighbor":   NearestNeighbor,
-		"CheapestInsertion": CheapestInsertion,
+		"DoubleTree":      primTour,
+		"NearestNeighbor": NearestNeighbor,
 	}
 	for name, build := range constructors {
 		t.Run(name, func(t *testing.T) {
@@ -87,8 +86,8 @@ func TestConstructorsProduceValidTours(t *testing.T) {
 
 func TestConstructorsEmptySpace(t *testing.T) {
 	sp := metric.NewEuclidean(nil)
-	if MSTTour(sp, 0) != nil || NearestNeighbor(sp, 0) != nil || CheapestInsertion(sp, 0) != nil {
-		t.Error("constructors on empty space should return nil")
+	if NearestNeighbor(sp, 0) != nil {
+		t.Error("NearestNeighbor on an empty space should return nil")
 	}
 }
 
@@ -109,7 +108,13 @@ func TestDoubleTreeWithinTwiceTreeWeight(t *testing.T) {
 	}
 }
 
-func TestMSTTourIsTwoApproximation(t *testing.T) {
+// primTour is the q = 1 double-tree tour: a Prim MST rooted at root,
+// doubled, walked and shortcut.
+func primTour(sp metric.Space, root int) []int {
+	return DoubleTree(sp, graph.PrimMST(sp, root), root)
+}
+
+func TestDoubleTreeIsTwoApproximation(t *testing.T) {
 	// Compare against Held-Karp on small instances: the double-tree
 	// tour must cost at most twice the optimum (Theorem 1 with q=1).
 	r := rand.New(rand.NewSource(4))
@@ -117,7 +122,7 @@ func TestMSTTourIsTwoApproximation(t *testing.T) {
 		n := 2 + r.Intn(9)
 		sp := randomSpace(r, n)
 		start := r.Intn(n)
-		approx := Cost(sp, MSTTour(sp, start))
+		approx := Cost(sp, primTour(sp, start))
 		_, opt, err := HeldKarp(sp, start)
 		if err != nil {
 			t.Fatal(err)

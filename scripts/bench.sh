@@ -6,7 +6,9 @@
 #   scripts/bench.sh check [baseline]  capture a fresh run and compare it
 #                                      against the committed baseline
 #                                      (default BENCH_seed.json); exits 1
-#                                      on any >15% ns/op regression
+#                                      on any >15% ns/op regression and
+#                                      on any baseline benchmark the
+#                                      fresh run lacks (renamed/deleted)
 #
 # Extra stability knobs: BENCHTIME (default 3x), COUNT (default 3;
 # the parser keeps the per-field median across the COUNT runs),
@@ -18,7 +20,8 @@
 # LARGE=1 also runs the LargePlan grid/dense suite (single-shot, with
 # heap-bytes) and folds it into the same baseline. Capture defaults to
 # LARGE=1 so committed baselines record the large-n numbers; check
-# defaults to LARGE=0 so the regression gate stays fast.
+# defaults to LARGE=0 so the regression gate stays fast, which means a
+# baseline carrying LargePlan rows needs LARGE=1 to check clean.
 #
 # cmd/robust artifacts carry the same schema under their "benchmarks"
 # key (RobustSweep ns-per-run + heap footprint), so sweep baselines
